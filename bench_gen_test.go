@@ -51,9 +51,10 @@ func genBenchSpecs() []flagsim.SweepSpec {
 }
 
 // BenchmarkSweepGeneratedCold runs the generated grid on a fresh pool
-// each iteration: every flag is resolved, rasterized, and simulated.
+// each iteration: every flag is resolved, compiled, and simulated.
 func BenchmarkSweepGeneratedCold(b *testing.B) {
 	specs := genBenchSpecs()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := flagsim.RunSweep(specs, flagsim.SweepOptions{Workers: 8})
@@ -72,6 +73,7 @@ func BenchmarkSweepGeneratedWarm(b *testing.B) {
 	if err := sw.Run(nil, specs).Err(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sw.Run(nil, specs)
@@ -80,6 +82,47 @@ func BenchmarkSweepGeneratedWarm(b *testing.B) {
 		}
 		if res.Cache.Hits != len(specs) {
 			b.Fatalf("warm cache hits = %d, want %d", res.Cache.Hits, len(specs))
+		}
+	}
+}
+
+// BenchmarkStageCompile prices the compile stage of a cold generated
+// run on its own: the scenario-4 plan (one raster pass into the compiled
+// flag, exact-size task lists, merged layer deps) plus verifying a
+// correctly painted grid against the plan's compiled reference. The
+// engine is not run; each op cycles to the next of 32 variants.
+func BenchmarkStageCompile(b *testing.B) {
+	scen, err := flagsim.ScenarioByID(flagsim.S4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type painted struct {
+		flag *flagsim.Flag
+		grid *flagsim.Grid
+	}
+	var work [32]painted
+	for v := range work {
+		f, err := flagsim.GenerateFlag(42, uint64(v))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := flagsim.Rasterize(f, f.DefaultW, f.DefaultH)
+		if err != nil {
+			b.Fatal(err)
+		}
+		work[v] = painted{f, g}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := work[i%len(work)]
+		plan, err := scen.Plan(w.flag, w.flag.DefaultW, w.flag.DefaultH)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := flagsim.Result{Plan: plan, Grid: w.grid}
+		if err := res.Verify(w.flag); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

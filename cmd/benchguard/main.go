@@ -53,8 +53,10 @@ import (
 // the dispatcher's report path (which carries the tracing plane's
 // per-job bookkeeping), and the procedural flag generator (per-flag
 // generation, whose allocation envelope is pinned, plus the generated
-// sweep cold/warm pair guarding the content-addressed memo path).
-const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedWarm)$"
+// sweep cold/warm pair guarding the content-addressed memo path), and
+// the compile stage (plan + verify of one generated flag, allocations
+// pinned).
+const guarded = "^(BenchmarkEngineStatic|BenchmarkEngineStaticNilHooks|BenchmarkEngineStaticProbed|BenchmarkEngineStaticFaults|BenchmarkEngineStaticOracle|BenchmarkEngineDynamic|BenchmarkEngineSteal|BenchmarkSweepParallel|BenchmarkServerRun|BenchmarkServerSweepWarm|BenchmarkDispatcherReport|BenchmarkGenFlag|BenchmarkSweepGeneratedCold|BenchmarkSweepGeneratedWarm|BenchmarkStageCompile)$"
 
 // flatBytesSlack is the absolute B/op growth allowed on an
 // allocation-flat benchmark before the gate fails. A genuinely

@@ -184,6 +184,10 @@ func Run(spec RunSpec) (*sim.Result, error) { return RunCtx(nil, spec) }
 // RunCtx is Run with a cancellation context: a canceled ctx aborts the
 // simulation at the next engine checkpoint with sim.ErrCanceled. A nil
 // ctx runs unchecked.
+//
+// The flag is compiled once per run: the scenario's plan is built from
+// the compiled form and carries it, so the closing Verify compares
+// against its reference image without rasterizing again.
 func RunCtx(ctx context.Context, spec RunSpec) (*sim.Result, error) {
 	cfg, err := simConfig(spec)
 	if err != nil {

@@ -212,3 +212,40 @@ func TestLoadBalanceLesson(t *testing.T) {
 		t.Fatal("zero time should error")
 	}
 }
+
+// TestScenarioPlansExactSize: every scenario plan of every builtin sizes
+// each processor's task list exactly (len == cap, no append slack held
+// for the life of the plan) and carries the compiled flag it was built
+// from, which Verify reuses.
+func TestScenarioPlansExactSize(t *testing.T) {
+	checked := 0
+	for _, f := range flagspec.All() {
+		for _, id := range []ScenarioID{S1, S2, S3, S4, S4Pipelined} {
+			scen, err := ScenarioByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := scen.Plan(f, f.DefaultW, f.DefaultH)
+			if err != nil {
+				// Pipelined rotation is refused for layered flags and
+				// stripe pairs need two layers; everything else plans.
+				if id == S4Pipelined || (id == S2 && len(f.Layers) < 2) {
+					continue
+				}
+				t.Fatalf("%s/%v: %v", f.Name, id, err)
+			}
+			checked++
+			for pi, tasks := range plan.PerProc {
+				if len(tasks) != cap(tasks) {
+					t.Errorf("%s/%v: proc %d has len %d, cap %d", f.Name, id, pi, len(tasks), cap(tasks))
+				}
+			}
+			if !plan.Compiled().Matches(f, f.DefaultW, f.DefaultH) {
+				t.Errorf("%s/%v: plan does not carry its compiled flag", f.Name, id)
+			}
+		}
+	}
+	if checked < 4*len(flagspec.All()) {
+		t.Fatalf("only %d plans checked", checked)
+	}
+}

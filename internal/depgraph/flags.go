@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"flagsim/internal/flagspec"
-	"flagsim/internal/grid"
 )
 
 // FromFlag builds the layer dependency graph of a flag at raster size w×h.
@@ -12,51 +11,28 @@ import (
 // edges come from explicit DependsOn declarations plus implied overpaint
 // order (a layer that overlaps an earlier one must follow it).
 func FromFlag(f *flagspec.Flag, w, h int) (*Graph, error) {
-	if err := f.Validate(); err != nil {
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
 		return nil, err
 	}
 	g := New()
-	layerCells := grid.LayerCells(f, w, h)
 	for i, l := range f.Layers {
 		if err := g.AddNode(Node{
 			ID:     l.Name,
-			Weight: time.Duration(len(layerCells[i])) * time.Second,
+			Weight: time.Duration(c.Counts()[i]) * time.Second,
 			Label:  l.Color.String(),
 		}); err != nil {
 			return nil, err
 		}
 	}
-	overlaps := f.Overlaps(w, h)
-	added := make(map[[2]int]bool)
-	for i, l := range f.Layers {
-		for _, dep := range l.DependsOn {
-			di := indexOf(f, dep)
-			if !added[[2]int{di, i}] {
-				if err := g.AddEdge(dep, l.Name); err != nil {
-					return nil, err
-				}
-				added[[2]int{di, i}] = true
-			}
-		}
-		for _, j := range overlaps[i] {
-			if !added[[2]int{j, i}] {
-				if err := g.AddEdge(f.Layers[j].Name, l.Name); err != nil {
-					return nil, err
-				}
-				added[[2]int{j, i}] = true
+	for i, deps := range c.Deps() {
+		for _, j := range deps {
+			if err := g.AddEdge(f.Layers[j].Name, f.Layers[i].Name); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return g, nil
-}
-
-func indexOf(f *flagspec.Flag, name string) int {
-	for i := range f.Layers {
-		if f.Layers[i].Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // JordanReference returns the paper's intended solution for the flag of

@@ -130,36 +130,16 @@ func (f *Flag) Colors() []palette.Color {
 // share at least one cell with layer i at the given raster size. These are
 // the implied paint-order dependencies of the Painter's algorithm.
 func (f *Flag) Overlaps(w, h int) [][]int {
-	masks := make([][]bool, len(f.Layers))
-	for i, l := range f.Layers {
-		m := make([]bool, w*h)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				if l.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
-					m[y*w+x] = true
-				}
-			}
-		}
-		masks[i] = m
-	}
+	c := raster(f, w, h)
 	out := make([][]int, len(f.Layers))
 	for i := range f.Layers {
 		for j := 0; j < i; j++ {
-			if masksIntersect(masks[i], masks[j]) {
+			if c.overlap(i, j) {
 				out[i] = append(out[i], j)
 			}
 		}
 	}
 	return out
-}
-
-func masksIntersect(a, b []bool) bool {
-	for i := range a {
-		if a[i] && b[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // registry holds the built-in flags keyed by name.

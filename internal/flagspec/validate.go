@@ -21,7 +21,7 @@ import (
 	"strings"
 	"sync"
 
-	"flagsim/internal/geom"
+	"flagsim/internal/palette"
 )
 
 // Validate checks f against a concrete w×h raster on top of the flag's
@@ -46,24 +46,15 @@ func Validate(f *Flag, w, h int, fullCoverage bool) error {
 	if w <= 0 || h <= 0 {
 		return fmt.Errorf("flagspec: %s: non-positive raster %dx%d", f.Name, w, h)
 	}
-	painted := make([]bool, w*h)
-	for _, l := range f.Layers {
-		covered := 0
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				if l.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
-					covered++
-					painted[y*w+x] = true
-				}
-			}
-		}
-		if covered == 0 {
-			return fmt.Errorf("flagspec: %s: layer %q covers no cell at %dx%d", f.Name, l.Name, w, h)
+	c := raster(f, w, h)
+	for li, n := range c.counts {
+		if n == 0 {
+			return fmt.Errorf("flagspec: %s: layer %q covers no cell at %dx%d", f.Name, f.Layers[li].Name, w, h)
 		}
 	}
 	if fullCoverage {
-		for i, p := range painted {
-			if !p {
+		for i, color := range c.ref {
+			if color == palette.None {
 				return fmt.Errorf("flagspec: %s: cell (%d,%d) unpainted at %dx%d (full coverage required)",
 					f.Name, i%w, i/w, w, h)
 			}

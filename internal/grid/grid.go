@@ -268,51 +268,21 @@ func RasterizeDefault(f *flagspec.Flag) (*Grid, error) {
 	return Rasterize(f, f.DefaultW, f.DefaultH)
 }
 
-// LayerCells returns, per layer of f at size w×h, the cells that layer
-// covers. Together with the flag's dependency edges this is the raw
-// material of every decomposition in package workplan.
-func LayerCells(f *flagspec.Flag, w, h int) [][]geom.Pt {
-	out := make([][]geom.Pt, len(f.Layers))
-	for i, layer := range f.Layers {
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				p := geom.Pt{X: x, Y: y}
-				if layer.Shape.Contains(p, w, h) {
-					out[i] = append(out[i], p)
-				}
-			}
+// WrongCells counts the cells where g differs from c's reference image
+// (flagspec.Compiled.Reference); a grid of another size counts every
+// cell of the larger of the two as wrong.
+func (g *Grid) WrongCells(c *flagspec.Compiled) int {
+	w, h := c.Size()
+	if g.w != w || g.h != h {
+		return max(g.w*g.h, w*h)
+	}
+	n := 0
+	for i, want := range c.Reference() {
+		if g.cells[i] != want {
+			n++
 		}
 	}
-	return out
-}
-
-// VisibleLayerCells returns, per layer, the cells where that layer is the
-// topmost (final) color — i.e. the cells a "smart" non-layered plan would
-// paint exactly once. The difference between LayerCells and
-// VisibleLayerCells across a flag quantifies overpaint.
-func VisibleLayerCells(f *flagspec.Flag, w, h int) [][]geom.Pt {
-	top := make([]int, w*h)
-	for i := range top {
-		top[i] = -1
-	}
-	for li, layer := range f.Layers {
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				if layer.Shape.Contains(geom.Pt{X: x, Y: y}, w, h) {
-					top[y*w+x] = li
-				}
-			}
-		}
-	}
-	out := make([][]geom.Pt, len(f.Layers))
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if li := top[y*w+x]; li >= 0 {
-				out[li] = append(out[li], geom.Pt{X: x, Y: y})
-			}
-		}
-	}
-	return out
+	return n
 }
 
 // String renders the grid as ASCII art, one rune per cell.

@@ -230,27 +230,6 @@ func TestRasterizeResolutionProperty(t *testing.T) {
 	}
 }
 
-func TestLayerCellsVsVisible(t *testing.T) {
-	f := flagspec.GreatBritain
-	w, h := f.DefaultW, f.DefaultH
-	full := LayerCells(f, w, h)
-	visible := VisibleLayerCells(f, w, h)
-	fullTotal, visTotal := 0, 0
-	for i := range full {
-		fullTotal += len(full[i])
-		visTotal += len(visible[i])
-		if len(visible[i]) > len(full[i]) {
-			t.Fatalf("layer %d: visible %d > full %d", i, len(visible[i]), len(full[i]))
-		}
-	}
-	if visTotal != w*h {
-		t.Fatalf("visible cells %d != canvas %d", visTotal, w*h)
-	}
-	if fullTotal <= visTotal {
-		t.Fatal("layered flag must overpaint")
-	}
-}
-
 func TestCellsOfColor(t *testing.T) {
 	g, _ := RasterizeDefault(flagspec.Poland)
 	white := g.CellsOfColor(palette.White)

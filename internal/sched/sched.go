@@ -18,78 +18,73 @@ import (
 	"sort"
 
 	"flagsim/internal/flagspec"
-	"flagsim/internal/geom"
-	"flagsim/internal/grid"
 	"flagsim/internal/workplan"
 )
 
-// region is a contiguous run of same-layer cells, the scheduling unit.
-type region struct {
-	layer int
-	cells []geom.Pt
+// span is a contiguous run of the sequential task stream, stream[lo:hi].
+// As a scheduling unit it is a row region; as an assignment it is the
+// run a processor grabs.
+type span struct{ lo, hi int }
+
+// stream returns the flag's tasks in layer-then-reading order (the
+// sequential plan's single task list) and the compiled flag behind them.
+func stream(f *flagspec.Flag, w, h int) ([]workplan.Task, *flagspec.Compiled, error) {
+	seq, err := workplan.Sequential(f, w, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	return seq.PerProc[0], seq.Compiled(), nil
 }
 
-// regionsOf splits each layer's cells into row runs — the natural "color
-// this row of the stripe" units students actually divide work into.
-func regionsOf(f *flagspec.Flag, w, h int) []region {
-	layerCells := grid.LayerCells(f, w, h)
-	var out []region
-	for li, cells := range layerCells {
-		byRow := make(map[int][]geom.Pt)
-		var rows []int
-		for _, c := range cells {
-			if _, ok := byRow[c.Y]; !ok {
-				rows = append(rows, c.Y)
-			}
-			byRow[c.Y] = append(byRow[c.Y], c)
+// regionsOf splits the stream into row runs of one layer — the natural
+// "color this row of the stripe" units students actually divide work
+// into.
+func regionsOf(tasks []workplan.Task) []span {
+	var out []span
+	for lo := 0; lo < len(tasks); {
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].Layer == tasks[lo].Layer && tasks[hi].Cell.Y == tasks[lo].Cell.Y {
+			hi++
 		}
-		sort.Ints(rows)
-		for _, y := range rows {
-			out = append(out, region{layer: li, cells: byRow[y]})
-		}
+		out = append(out, span{lo, hi})
+		lo = hi
 	}
 	return out
 }
 
-func buildPlan(f *flagspec.Flag, w, h int, strategy string, perProc [][]workplan.Task) (*workplan.Plan, error) {
-	layerCells := grid.LayerCells(f, w, h)
-	counts := make([]int, len(layerCells))
-	for i, cells := range layerCells {
-		counts[i] = len(cells)
+// assemble gives processor owner[k] the tasks of spans[k], each
+// processor's list allocated at its exact length and ordered by
+// sortTasks, and builds the plan.
+func assemble(c *flagspec.Compiled, strategy string, p int, tasks []workplan.Task, spans []span, owner []int) (*workplan.Plan, error) {
+	sizes := make([]int, p)
+	for k, s := range spans {
+		sizes[owner[k]] += s.hi - s.lo
 	}
-	deps := make([][]int, len(f.Layers))
-	index := make(map[string]int, len(f.Layers))
-	for i, l := range f.Layers {
-		index[l.Name] = i
-	}
-	overlaps := f.Overlaps(w, h)
-	for i, l := range f.Layers {
-		set := map[int]bool{}
-		for _, d := range l.DependsOn {
-			set[index[d]] = true
+	perProc := make([][]workplan.Task, p)
+	for pi, n := range sizes {
+		if n > 0 {
+			perProc[pi] = make([]workplan.Task, 0, n)
 		}
-		for _, j := range overlaps[i] {
-			set[j] = true
+	}
+	for k, s := range spans {
+		perProc[owner[k]] = append(perProc[owner[k]], tasks[s.lo:s.hi]...)
+	}
+	for pi := range perProc {
+		sortTasks(perProc[pi])
+	}
+	return workplan.New(c, strategy, perProc)
+}
+
+// leastLoaded returns the processor with the smallest load, lowest
+// index on ties.
+func leastLoaded(load []int) int {
+	pi := 0
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[pi] {
+			pi = i
 		}
-		var ds []int
-		for d := range set {
-			ds = append(ds, d)
-		}
-		sort.Ints(ds)
-		deps[i] = ds
 	}
-	plan := &workplan.Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       strategy,
-		PerProc:        perProc,
-		LayerDeps:      deps,
-		LayerCellCount: counts,
-		Overpainted:    true,
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
+	return pi
 }
 
 // LPT assigns row regions to p processors longest-first onto the least
@@ -100,36 +95,24 @@ func LPT(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: %d processors", p)
 	}
-	regions := regionsOf(f, w, h)
-	// Stable sort: longest first, then layer, then first cell for
-	// determinism.
+	tasks, c, err := stream(f, w, h)
+	if err != nil {
+		return nil, err
+	}
+	regions := regionsOf(tasks)
+	// Stable sort: longest first; regions are in layer-then-row order,
+	// so ties keep layer order, then first cell, for determinism.
 	sort.SliceStable(regions, func(a, b int) bool {
-		if len(regions[a].cells) != len(regions[b].cells) {
-			return len(regions[a].cells) > len(regions[b].cells)
-		}
-		return regions[a].layer < regions[b].layer
+		return regions[a].hi-regions[a].lo > regions[b].hi-regions[b].lo
 	})
 	load := make([]int, p)
-	perProc := make([][]workplan.Task, p)
-	for _, r := range regions {
-		// Least-loaded processor, lowest index on ties.
-		pi := 0
-		for i := 1; i < p; i++ {
-			if load[i] < load[pi] {
-				pi = i
-			}
-		}
-		for _, c := range r.cells {
-			perProc[pi] = append(perProc[pi], workplan.Task{
-				Cell: c, Color: f.Layers[r.layer].Color, Layer: r.layer,
-			})
-		}
-		load[pi] += len(r.cells)
+	owner := make([]int, len(regions))
+	for k, r := range regions {
+		pi := leastLoaded(load)
+		owner[k] = pi
+		load[pi] += r.hi - r.lo
 	}
-	for pi := range perProc {
-		sortTasks(perProc[pi])
-	}
-	return buildPlan(f, w, h, fmt.Sprintf("lpt(p=%d)", p), perProc)
+	return assemble(c, fmt.Sprintf("lpt(p=%d)", p), p, tasks, regions, owner)
 }
 
 // Chunked models fixed-size chunk self-scheduling: an idle processor takes
@@ -144,20 +127,17 @@ func Chunked(f *flagspec.Flag, w, h, p, chunk int) (*workplan.Plan, error) {
 	if chunk <= 0 {
 		return nil, fmt.Errorf("sched: chunk size %d", chunk)
 	}
-	stream := taskStream(f, w, h)
-	perProc := make([][]workplan.Task, p)
-	for i := 0; i < len(stream); i += chunk {
-		end := i + chunk
-		if end > len(stream) {
-			end = len(stream)
-		}
-		pi := (i / chunk) % p
-		perProc[pi] = append(perProc[pi], stream[i:end]...)
+	tasks, c, err := stream(f, w, h)
+	if err != nil {
+		return nil, err
 	}
-	for pi := range perProc {
-		sortTasks(perProc[pi])
+	var grabs []span
+	var owner []int
+	for i := 0; i < len(tasks); i += chunk {
+		grabs = append(grabs, span{i, min(i+chunk, len(tasks))})
+		owner = append(owner, (i/chunk)%p)
 	}
-	return buildPlan(f, w, h, fmt.Sprintf("chunked(p=%d,chunk=%d)", p, chunk), perProc)
+	return assemble(c, fmt.Sprintf("chunked(p=%d,chunk=%d)", p, chunk), p, tasks, grabs, owner)
 }
 
 // Guided models guided self-scheduling: each grab takes
@@ -167,44 +147,25 @@ func Guided(f *flagspec.Flag, w, h, p int) (*workplan.Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("sched: %d processors", p)
 	}
-	stream := taskStream(f, w, h)
-	perProc := make([][]workplan.Task, p)
+	tasks, c, err := stream(f, w, h)
+	if err != nil {
+		return nil, err
+	}
+	var grabs []span
+	var owner []int
 	load := make([]int, p)
-	i := 0
-	for i < len(stream) {
-		remaining := len(stream) - i
-		take := (remaining + p - 1) / p
-		if take < 1 {
-			take = 1
-		}
+	for i := 0; i < len(tasks); {
+		// ceil(remaining / p) is at least 1 while cells remain.
+		take := (len(tasks) - i + p - 1) / p
 		// The next grab goes to the first idle worker — with equal
 		// speeds, the least-loaded processor (lowest index on ties).
-		pi := 0
-		for j := 1; j < p; j++ {
-			if load[j] < load[pi] {
-				pi = j
-			}
-		}
-		perProc[pi] = append(perProc[pi], stream[i:i+take]...)
+		pi := leastLoaded(load)
+		grabs = append(grabs, span{i, i + take})
+		owner = append(owner, pi)
 		load[pi] += take
 		i += take
 	}
-	for pi := range perProc {
-		sortTasks(perProc[pi])
-	}
-	return buildPlan(f, w, h, fmt.Sprintf("guided(p=%d)", p), perProc)
-}
-
-// taskStream flattens the flag into layer-then-reading-order tasks.
-func taskStream(f *flagspec.Flag, w, h int) []workplan.Task {
-	layerCells := grid.LayerCells(f, w, h)
-	var out []workplan.Task
-	for li, cells := range layerCells {
-		for _, c := range cells {
-			out = append(out, workplan.Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
-	}
-	return out
+	return assemble(c, fmt.Sprintf("guided(p=%d)", p), p, tasks, grabs, owner)
 }
 
 // sortTasks orders a processor's tasks by layer (dependency safety), then

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"flagsim/internal/flagspec"
+	"flagsim/internal/workplan"
 )
 
 func TestAllSchedulersReproduceAllFlags(t *testing.T) {
@@ -115,5 +116,32 @@ func TestImbalanceProperties(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSchedulersExactSize: every scheduler sizes each processor's task
+// list exactly (len == cap) and leaves a processor with no work nil.
+func TestSchedulersExactSize(t *testing.T) {
+	for _, f := range flagspec.All() {
+		w, h := f.DefaultW, f.DefaultH
+		for p := 1; p <= 7; p++ {
+			builds := map[string]func() (*workplan.Plan, error){
+				"lpt":     func() (*workplan.Plan, error) { return LPT(f, w, h, p) },
+				"chunked": func() (*workplan.Plan, error) { return Chunked(f, w, h, p, 5) },
+				"guided":  func() (*workplan.Plan, error) { return Guided(f, w, h, p) },
+			}
+			for name, build := range builds {
+				plan, err := build()
+				if err != nil {
+					t.Fatalf("%s/%s(p=%d): %v", f.Name, name, p, err)
+				}
+				for pi, tasks := range plan.PerProc {
+					if len(tasks) != cap(tasks) || (len(tasks) == 0 && tasks != nil) {
+						t.Errorf("%s/%s(p=%d): proc %d has len %d, cap %d, nil %v",
+							f.Name, name, p, pi, len(tasks), cap(tasks), tasks == nil)
+					}
+				}
+			}
+		}
 	}
 }

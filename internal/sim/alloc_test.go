@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"flagsim/internal/flagspec"
+	"flagsim/internal/geom"
 	"flagsim/internal/implement"
 	"flagsim/internal/palette"
 	"flagsim/internal/processor"
@@ -249,5 +250,52 @@ func TestPooledVsOwnedArenaParity(t *testing.T) {
 	if !owned.equal(pooled) {
 		t.Errorf("owned-arena run diverged from pooled run (makespan %v vs %v, events %d vs %d)",
 			owned.makespan, pooled.makespan, owned.events, pooled.events)
+	}
+}
+
+// TestVerifyAgainstCompiledPlan pins the compile-once contract on the
+// verify side: a Result whose plan carries the compiled flag — static,
+// stolen or self-scheduled — verifies without allocating (no raster
+// pass), still catches a wrong cell, and compiles the flag afresh when
+// asked about a flag value the plan was not compiled from.
+func TestVerifyAgainstCompiledPlan(t *testing.T) {
+	f := flagspec.Mauritius
+	plan := mauritiusPlan(t, 4)
+	set := func() *implement.Set { return implement.NewSet(implement.ThickMarker, f.Colors()) }
+	runs := map[string]func() (*Result, error){
+		"static": func() (*Result, error) { return Run(Config{Plan: plan, Procs: newTeam(t, 4), Set: set()}) },
+		"steal":  func() (*Result, error) { return RunSteal(Config{Plan: plan, Procs: newTeam(t, 4), Set: set()}) },
+		"dynamic": func() (*Result, error) {
+			return RunDynamic(DynamicConfig{Flag: f, Procs: newTeam(t, 3), Set: set()})
+		},
+	}
+	for name, run := range runs {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Plan.Compiled().Matches(f, res.Plan.W, res.Plan.H) {
+			t.Fatalf("%s: result plan does not carry the compiled flag", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := res.Verify(f); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Verify allocated %.1f times per call, want 0", name, allocs)
+		}
+		clone := *f
+		if err := res.Verify(&clone); err != nil {
+			t.Errorf("%s: fallback verify against an equal flag: %v", name, err)
+		}
+		if err := res.Grid.Paint(geom.Pt{}, palette.Black); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Verify(f); err == nil {
+			t.Errorf("%s: Verify passed a grid with a wrong cell", name)
+		}
+		if err := res.Verify(&clone); err == nil {
+			t.Errorf("%s: fallback verify passed a grid with a wrong cell", name)
+		}
 	}
 }

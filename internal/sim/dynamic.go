@@ -439,6 +439,7 @@ func RunDynamicCtx(ctx context.Context, cfg DynamicConfig) (*Result, error) {
 		LayerCellCount: seq.LayerCellCount,
 		Overpainted:    true,
 	}
+	plan.InheritCompiled(seq)
 	res := a.buildResult(e, plan, makespan)
 	e.notifyResult(res)
 	return res, nil

@@ -250,6 +250,7 @@ func RunStealCtx(ctx context.Context, cfg Config) (*Result, error) {
 		LayerCellCount: cfg.Plan.LayerCellCount,
 		Overpainted:    cfg.Plan.Overpainted,
 	}
+	plan.InheritCompiled(cfg.Plan)
 	res := a.buildResult(e, plan, makespan)
 	res.Steals = source.steals
 	res.Migrated = source.migrated

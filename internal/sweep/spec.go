@@ -232,6 +232,11 @@ func (s Spec) run(ctx context.Context, probes []sim.Probe) (*sim.Result, error) 
 		}
 		return core.RunCtx(ctx, spec)
 	case ExecDynamic:
+		// Unlike the two plan-driven classes above (core verifies their
+		// grids), dynamic results are deliberately not Verify'd here:
+		// `flagcheck -self-test` and TestOracleFlagsSeededLostUpdate
+		// run a lost-update fault plan through this path and need the
+		// corrupted grid back for the oracle to flag, not an error.
 		n := s.Workers
 		if n < 1 {
 			n = 1

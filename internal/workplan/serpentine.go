@@ -2,11 +2,9 @@ package workplan
 
 import (
 	"fmt"
-	"sort"
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/geom"
-	"flagsim/internal/grid"
 )
 
 // Cell orderings. Reading order (the default everywhere else) jumps from
@@ -42,58 +40,28 @@ func (o Ordering) String() string {
 	}
 }
 
-// reorder sorts cells into the requested traversal.
-func reorder(cells []geom.Pt, o Ordering) []geom.Pt {
-	out := append([]geom.Pt(nil), cells...)
-	switch o {
-	case Serpentine:
-		sort.SliceStable(out, func(a, b int) bool {
-			if out[a].Y != out[b].Y {
-				return out[a].Y < out[b].Y
-			}
-			if out[a].Y%2 == 0 {
-				return out[a].X < out[b].X
-			}
-			return out[a].X > out[b].X
-		})
-	default:
-		sort.SliceStable(out, func(a, b int) bool {
-			if out[a].Y != out[b].Y {
-				return out[a].Y < out[b].Y
-			}
-			return out[a].X < out[b].X
-		})
-	}
-	return out
-}
-
 // SequentialOrdered is Sequential with an explicit cell traversal within
 // each layer.
 func SequentialOrdered(f *flagspec.Flag, w, h int, o Ordering) (*Plan, error) {
-	layerCells := grid.LayerCells(f, w, h)
-	var tasks []Task
-	counts := make([]int, len(f.Layers))
-	for li, cells := range layerCells {
-		for _, c := range reorder(cells, o) {
-			tasks = append(tasks, Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
+	}
+	tasks := make([]Task, 0, c.Total())
+	for li, layer := range f.Layers {
+		for y := 0; y < h; y++ {
+			for k := 0; k < w; k++ {
+				x := k
+				if o == Serpentine && y%2 == 1 {
+					x = w - 1 - k
+				}
+				if c.Covers(li, x, y) {
+					tasks = append(tasks, Task{Cell: geom.Pt{X: x, Y: y}, Color: layer.Color, Layer: li})
+				}
+			}
 		}
-		counts[li] = len(cells)
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("sequential-%s", o),
-		PerProc:        [][]Task{tasks},
-		LayerDeps:      layerDepsOf(f, w, h),
-		LayerCellCount: counts,
-		Overpainted:    true,
-	}
-	return plan, plan.Validate()
-}
-
-// layerDepsOf re-exposes the internal dependency derivation for the
-// ordering variants.
-func layerDepsOf(f *flagspec.Flag, w, h int) [][]int {
-	return layerDeps(f, w, h)
+	return New(c, fmt.Sprintf("sequential-%s", o), [][]Task{tasks})
 }
 
 // MovementCost sums the Manhattan distances between consecutive tasks of

@@ -20,7 +20,6 @@ package workplan
 
 import (
 	"fmt"
-	"sort"
 
 	"flagsim/internal/flagspec"
 	"flagsim/internal/geom"
@@ -57,7 +56,37 @@ type Plan struct {
 	// algorithm, some cells painted more than once) rather than only
 	// visible cells.
 	Overpainted bool
+
+	// compiled is the compiled flag the plan was built from; verification
+	// of the plan, and of runs executing it, reuses its reference image.
+	compiled *flagspec.Compiled
 }
+
+// New assembles an overpainted plan of c's flag from per-processor task
+// lists, taking the layer dependencies and cell counts from c, and
+// validates it. The plan keeps c for verification.
+func New(c *flagspec.Compiled, strategy string, perProc [][]Task) (*Plan, error) {
+	w, h := c.Size()
+	plan := &Plan{
+		FlagName: c.Flag().Name, W: w, H: h,
+		Strategy:       strategy,
+		PerProc:        perProc,
+		LayerDeps:      c.Deps(),
+		LayerCellCount: c.Counts(),
+		Overpainted:    true,
+		compiled:       c,
+	}
+	return plan, plan.Validate()
+}
+
+// Compiled returns the compiled flag the plan was built from, or nil for
+// a plan assembled by hand.
+func (p *Plan) Compiled() *flagspec.Compiled { return p.compiled }
+
+// InheritCompiled makes p carry src's compiled flag. It is for plans
+// that describe another plan's workload, such as the executed
+// assignment of a work-stealing or self-scheduled run.
+func (p *Plan) InheritCompiled(src *Plan) { p.compiled = src.compiled }
 
 // NumProcs returns the number of processors the plan expects.
 func (p *Plan) NumProcs() int { return len(p.PerProc) }
@@ -117,12 +146,19 @@ func (p *Plan) Validate() error {
 }
 
 // Verify paints the plan onto a blank grid in any dependency-respecting
-// order and compares against the flag's reference raster. It is the
+// order and compares against the flag's reference image. It is the
 // correctness oracle used by tests: a decomposition bug (dropped cell,
 // wrong color, bad layer order) fails here regardless of timing.
 func (p *Plan) Verify(f *flagspec.Flag) error {
 	if err := p.Validate(); err != nil {
 		return err
+	}
+	c := p.compiled
+	if !c.Matches(f, p.W, p.H) {
+		var err error
+		if c, err = flagspec.Compile(f, p.W, p.H); err != nil {
+			return err
+		}
 	}
 	g := grid.New(p.W, p.H)
 	// Paint in global layer order, which respects every LayerDeps edge
@@ -140,7 +176,7 @@ func (p *Plan) Verify(f *flagspec.Flag) error {
 			}
 		}
 	}
-	want, err := grid.Rasterize(f, p.W, p.H)
+	want, err := grid.Restore(p.W, p.H, c.Reference(), 0)
 	if err != nil {
 		return err
 	}
@@ -159,42 +195,18 @@ func first(pts []geom.Pt) geom.Pt {
 	return pts[0]
 }
 
-// layerDeps extracts the explicit dependency lists from the flag as layer
-// indices, adding implied overpaint dependencies: any layer that overlaps
-// an earlier layer must wait for it even without an explicit DependsOn.
-func layerDeps(f *flagspec.Flag, w, h int) [][]int {
-	index := make(map[string]int, len(f.Layers))
-	for i, l := range f.Layers {
-		index[l.Name] = i
-	}
-	overlaps := f.Overlaps(w, h)
-	out := make([][]int, len(f.Layers))
-	for i, l := range f.Layers {
-		set := make(map[int]bool)
-		for _, dep := range l.DependsOn {
-			set[index[dep]] = true
+// appendIn appends the cells of layer l inside r to dst in reading
+// order.
+func appendIn(dst []Task, c *flagspec.Compiled, l int, r geom.Rect) []Task {
+	color := c.Flag().Layers[l].Color
+	for y := r.Min.Y; y < r.Max.Y; y++ {
+		for x := r.Min.X; x < r.Max.X; x++ {
+			if c.Covers(l, x, y) {
+				dst = append(dst, Task{Cell: geom.Pt{X: x, Y: y}, Color: color, Layer: l})
+			}
 		}
-		for _, j := range overlaps[i] {
-			set[j] = true
-		}
-		deps := make([]int, 0, len(set))
-		for d := range set {
-			deps = append(deps, d)
-		}
-		sort.Ints(deps)
-		out[i] = deps
 	}
-	return out
-}
-
-// cellCounts returns the cell count per layer for a full (overpainted)
-// plan.
-func cellCounts(layerCells [][]geom.Pt) []int {
-	out := make([]int, len(layerCells))
-	for i, cells := range layerCells {
-		out[i] = len(cells)
-	}
-	return out
+	return dst
 }
 
 // Sequential is scenario 1: one processor paints every layer in order,
@@ -212,42 +224,43 @@ func LayerBlocks(f *flagspec.Flag, w, h int, p int) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
 	if p > len(f.Layers) {
 		return nil, fmt.Errorf("workplan: layer-blocks with %d processors but %s has only %d layers",
 			p, f.Name, len(f.Layers))
 	}
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
+	}
 	// Contiguous balanced partition of layers by cell count (simple
 	// greedy: target = total/p, close a block when it reaches target).
-	total := 0
-	for _, cells := range layerCells {
-		total += len(cells)
-	}
-	perProc := make([][]Task, p)
+	counts := c.Counts()
+	total := c.Total()
+	owner := make([]int, len(counts))
+	sizes := make([]int, p)
 	proc, acc := 0, 0
-	remainingLayers := len(f.Layers)
-	for li, cells := range layerCells {
+	remainingLayers := len(counts)
+	for li, n := range counts {
 		remainingProcs := p - proc - 1
 		// Never leave more processors than layers remaining.
 		mustClose := remainingLayers-1 < remainingProcs+1 && proc < p-1
-		for _, c := range cells {
-			perProc[proc] = append(perProc[proc], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-		}
-		acc += len(cells)
+		owner[li] = proc
+		sizes[proc] += n
+		acc += n
 		remainingLayers--
 		if proc < p-1 && (mustClose || acc >= (total*(proc+1))/p) {
 			proc++
 		}
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("layer-blocks(p=%d)", p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
+	perProc := make([][]Task, p)
+	for pi, n := range sizes {
+		perProc[pi] = make([]Task, 0, n)
 	}
-	return plan, plan.Validate()
+	all := geom.R(0, 0, w, h)
+	for li, pi := range owner {
+		perProc[pi] = appendIn(perProc[pi], c, li, all)
+	}
+	return New(c, fmt.Sprintf("layer-blocks(p=%d)", p), perProc)
 }
 
 // VerticalSlices is scenario 4: the canvas is split into p vertical
@@ -263,43 +276,36 @@ func VerticalSlices(f *flagspec.Flag, w, h, p int, rotate bool) (*Plan, error) {
 	if p > w {
 		return nil, fmt.Errorf("workplan: %d slices across width %d", p, w)
 	}
-	layerCells := grid.LayerCells(f, w, h)
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
+	}
+	if rotate && hasInterLayerDeps(c.Deps()) {
+		return nil, fmt.Errorf("workplan: pipelined rotation is only valid for flags with independent layers; %s has layer dependencies", f.Name)
+	}
 	slices := geom.R(0, 0, w, h).SplitCols(p)
 	perProc := make([][]Task, p)
 	nl := len(f.Layers)
 	for pi, slice := range slices {
-		order := make([]int, nl)
+		n := 0
+		for li := 0; li < nl; li++ {
+			n += c.CountIn(li, slice)
+		}
+		tasks := make([]Task, 0, n)
 		for k := 0; k < nl; k++ {
+			li := k
 			if rotate {
-				order[k] = (pi*nl/p + k) % nl
-			} else {
-				order[k] = k
+				li = (pi*nl/p + k) % nl
 			}
+			tasks = appendIn(tasks, c, li, slice)
 		}
-		for _, li := range order {
-			for _, c := range layerCells[li] {
-				if c.In(slice) {
-					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-				}
-			}
-		}
+		perProc[pi] = tasks
 	}
 	name := "vertical-slices"
 	if rotate {
 		name = "vertical-slices-pipelined"
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("%s(p=%d)", name, p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
-	}
-	if rotate && hasInterLayerDeps(plan.LayerDeps) {
-		return nil, fmt.Errorf("workplan: pipelined rotation is only valid for flags with independent layers; %s has layer dependencies", f.Name)
-	}
-	return plan, plan.Validate()
+	return New(c, fmt.Sprintf("%s(p=%d)", name, p), perProc)
 }
 
 func hasInterLayerDeps(deps [][]int) bool {
@@ -313,7 +319,8 @@ func hasInterLayerDeps(deps [][]int) bool {
 
 // Blocks tiles the canvas into a gx×gy grid of rectangular blocks assigned
 // to processors round-robin; each processor paints its blocks layer by
-// layer. gx*gy must be >= p.
+// layer, keeping block order within a layer so dependencies are
+// satisfiable.
 func Blocks(f *flagspec.Flag, w, h, p, gx, gy int) (*Plan, error) {
 	if p <= 0 || gx <= 0 || gy <= 0 {
 		return nil, fmt.Errorf("workplan: bad block parameters p=%d gx=%d gy=%d", p, gx, gy)
@@ -321,39 +328,33 @@ func Blocks(f *flagspec.Flag, w, h, p, gx, gy int) (*Plan, error) {
 	if gx*gy < p {
 		return nil, fmt.Errorf("workplan: %d blocks for %d processors", gx*gy, p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
+	}
 	cols := geom.R(0, 0, w, h).SplitCols(gx)
 	var blocks []geom.Rect
 	for _, col := range cols {
 		blocks = append(blocks, col.SplitRows(gy)...)
 	}
+	nl := len(f.Layers)
 	perProc := make([][]Task, p)
-	for bi, blk := range blocks {
-		pi := bi % p
-		for li := range f.Layers {
-			for _, c := range layerCells[li] {
-				if c.In(blk) {
-					perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
-				}
+	for pi := range perProc {
+		n := 0
+		for bi := pi; bi < len(blocks); bi += p {
+			for li := 0; li < nl; li++ {
+				n += c.CountIn(li, blocks[bi])
 			}
 		}
+		tasks := make([]Task, 0, n)
+		for li := 0; li < nl; li++ {
+			for bi := pi; bi < len(blocks); bi += p {
+				tasks = appendIn(tasks, c, li, blocks[bi])
+			}
+		}
+		perProc[pi] = tasks
 	}
-	// Re-sort each processor's tasks by layer so dependencies are
-	// satisfiable, preserving block order within a layer.
-	for pi := range perProc {
-		sort.SliceStable(perProc[pi], func(a, b int) bool {
-			return perProc[pi][a].Layer < perProc[pi][b].Layer
-		})
-	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("blocks(p=%d,%dx%d)", p, gx, gy),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
-	}
-	return plan, plan.Validate()
+	return New(c, fmt.Sprintf("blocks(p=%d,%dx%d)", p, gx, gy), perProc)
 }
 
 // Cyclic deals cells of each layer to processors round-robin in reading
@@ -363,28 +364,40 @@ func Cyclic(f *flagspec.Flag, w, h, p int) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	layerCells := grid.LayerCells(f, w, h)
-	perProc := make([][]Task, p)
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
+	}
 	// One continuous deal across all layers: restarting at processor 0
 	// per layer would hand the low-index processors an extra cell per
 	// layer and compound the imbalance.
+	total := c.Total()
+	perProc := make([][]Task, p)
+	for pi := range perProc {
+		perProc[pi] = make([]Task, 0, share(total, p, pi))
+	}
 	deal := 0
-	for li := range f.Layers {
-		for _, c := range layerCells[li] {
-			pi := deal % p
-			deal++
-			perProc[pi] = append(perProc[pi], Task{Cell: c, Color: f.Layers[li].Color, Layer: li})
+	for li, layer := range f.Layers {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if c.Covers(li, x, y) {
+					pi := deal % p
+					deal++
+					perProc[pi] = append(perProc[pi], Task{Cell: geom.Pt{X: x, Y: y}, Color: layer.Color, Layer: li})
+				}
+			}
 		}
 	}
-	plan := &Plan{
-		FlagName: f.Name, W: w, H: h,
-		Strategy:       fmt.Sprintf("cyclic(p=%d)", p),
-		PerProc:        perProc,
-		LayerDeps:      layerDeps(f, w, h),
-		LayerCellCount: cellCounts(layerCells),
-		Overpainted:    true,
+	return New(c, fmt.Sprintf("cyclic(p=%d)", p), perProc)
+}
+
+// share is processor pi's part of n items dealt evenly over p, the
+// first n%p processors taking one extra.
+func share(n, p, pi int) int {
+	if pi < n%p {
+		return n/p + 1
 	}
-	return plan, plan.Validate()
+	return n / p
 }
 
 // VisibleOnly rewrites a flag into a single-pass plan that paints only the
@@ -396,38 +409,38 @@ func VisibleOnly(f *flagspec.Flag, w, h, p int) (*Plan, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("workplan: %d processors", p)
 	}
-	visible := grid.VisibleLayerCells(f, w, h)
-	type cellColor struct {
-		c     geom.Pt
-		color palette.Color
-		layer int
+	c, err := flagspec.Compile(f, w, h)
+	if err != nil {
+		return nil, err
 	}
-	var all []cellColor
-	for li := range f.Layers {
-		for _, c := range visible[li] {
-			all = append(all, cellColor{c, f.Layers[li].Color, li})
+	visible := 0
+	for _, color := range c.Reference() {
+		if color != palette.None {
+			visible++
 		}
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].c.Y != all[b].c.Y {
-			return all[a].c.Y < all[b].c.Y
-		}
-		return all[a].c.X < all[b].c.X
-	})
 	perProc := make([][]Task, p)
-	n := len(all)
-	start := 0
+	for pi := range perProc {
+		if n := share(visible, p, pi); n > 0 {
+			perProc[pi] = make([]Task, 0, n)
+		}
+	}
 	counts := make([]int, len(f.Layers))
-	for pi := 0; pi < p; pi++ {
-		extent := n / p
-		if pi < n%p {
-			extent++
+	pi := 0
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			li := c.Top(x, y)
+			if li < 0 {
+				continue
+			}
+			// Move on when pi's run is full; the capacities sum to
+			// visible, so pi never passes the last processor.
+			for len(perProc[pi]) == cap(perProc[pi]) {
+				pi++
+			}
+			perProc[pi] = append(perProc[pi], Task{Cell: geom.Pt{X: x, Y: y}, Color: f.Layers[li].Color, Layer: li})
+			counts[li]++
 		}
-		for _, cc := range all[start : start+extent] {
-			perProc[pi] = append(perProc[pi], Task{Cell: cc.c, Color: cc.color, Layer: cc.layer})
-			counts[cc.layer]++
-		}
-		start += extent
 	}
 	plan := &Plan{
 		FlagName: f.Name, W: w, H: h,
@@ -436,6 +449,7 @@ func VisibleOnly(f *flagspec.Flag, w, h, p int) (*Plan, error) {
 		LayerDeps:      make([][]int, len(f.Layers)),
 		LayerCellCount: counts,
 		Overpainted:    false,
+		compiled:       c,
 	}
 	return plan, plan.Validate()
 }

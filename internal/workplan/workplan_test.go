@@ -49,6 +49,32 @@ func TestEveryStrategyReproducesEveryFlag(t *testing.T) {
 	}
 }
 
+// TestEveryStrategyExactSize: every planner sizes each processor's task
+// list exactly (len == cap, no append slack held for the life of the
+// plan) and keeps the compiled flag it was built from.
+func TestEveryStrategyExactSize(t *testing.T) {
+	for _, f := range flagspec.All() {
+		plans := allStrategies(t, f)
+		for _, o := range []Ordering{ReadingOrder, Serpentine} {
+			p, err := SequentialOrdered(f, f.DefaultW, f.DefaultH, o)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", f.Name, o, err)
+			}
+			plans[o.String()] = p
+		}
+		for name, plan := range plans {
+			for pi, tasks := range plan.PerProc {
+				if len(tasks) != cap(tasks) {
+					t.Errorf("%s/%s: proc %d has len %d, cap %d", f.Name, name, pi, len(tasks), cap(tasks))
+				}
+			}
+			if !plan.Compiled().Matches(f, f.DefaultW, f.DefaultH) {
+				t.Errorf("%s/%s: plan does not carry its compiled flag", f.Name, name)
+			}
+		}
+	}
+}
+
 func TestScenario2SplitsStripePairs(t *testing.T) {
 	f := flagspec.Mauritius
 	plan, err := LayerBlocks(f, f.DefaultW, f.DefaultH, 2)
